@@ -79,10 +79,11 @@ type Coordinator struct {
 	rotateMu sync.Mutex
 	epoch    uint64 // completed cluster rotations, under rotateMu
 
+	// ls serves the coordinator's protocol listeners (see Listen).
+	ls *service.LineServer
+
 	closeOnce sync.Once
 	closeErr  error
-	lnClose   func() error
-	wg        sync.WaitGroup
 }
 
 // Option configures a Coordinator.
@@ -186,6 +187,7 @@ func New(opts ...Option) (*Coordinator, error) {
 		uploads:  make(map[int32][]service.PeerRank),
 		profiles: make(map[int32]service.ProfileSpec),
 	}
+	c.ls = service.NewLineServer(c.handleLine, 0)
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -257,14 +259,6 @@ func New(opts ...Option) (*Coordinator, error) {
 		c.senders[i] = newOrderedSender(i, c.pools[i], c.health[i], c.cm, c.fo, c.maxBatch, c.queueCap)
 	}
 	return c, nil
-}
-
-// NewWithAddrs builds a coordinator over the shards at addrs with
-// positional population and anonymity arguments.
-//
-// Deprecated: use New with WithNumUsers/WithK/WithShardAddrs (removal: 2026-09).
-func NewWithAddrs(numUsers, k int, addrs []string, opts ...Option) (*Coordinator, error) {
-	return New(append([]Option{WithNumUsers(numUsers), WithK(k), WithShardAddrs(addrs...)}, opts...)...)
 }
 
 // Shards returns the number of shards.
@@ -822,7 +816,6 @@ func (c *Coordinator) Stats(ctx context.Context) (*service.StatsPayload, error) 
 		p.Frozen = p.Frozen && sp.Frozen
 		p.Clusters += sp.Clusters
 		p.Edges += sp.Edges
-		p.PendingBuffered += sp.PendingBuffered
 		p.Profiled += sp.Profiled
 	}
 	c.mu.RLock()
@@ -872,10 +865,7 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 // too; external shards are their owner's to stop.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
-		if c.lnClose != nil {
-			c.closeErr = c.lnClose()
-		}
-		c.wg.Wait()
+		c.closeErr = c.ls.Close()
 		// Pools first: closing the ordered connection unblocks a sender
 		// mid-round-trip, then the senders' goroutines exit.
 		for _, p := range c.pools {

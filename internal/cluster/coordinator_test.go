@@ -359,9 +359,7 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Error("negative failover deadline accepted")
 	}
 	keys := make([]uint64, 10)
-	// The deprecated positional constructor must keep working until its
-	// dated removal.
-	coord, err := NewWithAddrs(10, 2, []string{"127.0.0.1:1"}, WithKeys(keys))
+	coord, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("127.0.0.1:1"), WithKeys(keys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -15,59 +12,27 @@ import (
 // Listen starts the coordinator's protocol listener on addr and returns
 // the bound address. It speaks the same line-delimited JSON protocol as
 // a single cloakd (v0 and v1), so existing clients work unchanged
-// against a cluster.
+// against a cluster. Canceling ctx stops the listener and closes its
+// connections; Close does that too and then shuts the shard I/O down.
 func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
+	a, err := c.ls.Listen(ctx, addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	c.lnClose = ln.Close
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			ln.Close()
-		}()
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				c.serveConn(ctx, conn)
-			}()
-		}
-	}()
-	return ln.Addr(), nil
+	return a, nil
 }
 
-func (c *Coordinator) serveConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), service.MaxLineBytes)
-	enc := json.NewEncoder(conn)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		req, err := service.ParseRequest(line)
-		if err != nil {
-			_ = enc.Encode(service.Response{Error: err.Error()})
-			continue
-		}
-		start := time.Now()
-		resp, ok := c.handle(ctx, req)
-		c.rm.Observe(string(req.Op), time.Since(start), ok)
-		if enc.Encode(resp) != nil {
-			return
-		}
+// handleLine answers one request line and folds it into the
+// coordinator's request metrics.
+func (c *Coordinator) handleLine(ctx context.Context, line []byte) any {
+	req, err := service.ParseRequest(line)
+	if err != nil {
+		return service.Response{Error: err.Error()}
 	}
+	start := time.Now()
+	resp, ok := c.handle(ctx, req)
+	c.rm.Observe(string(req.Op), time.Since(start), ok)
+	return resp
 }
 
 // handle answers one request in the shape its protocol version expects.

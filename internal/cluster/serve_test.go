@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"context"
+	"net"
 	"testing"
+	"time"
 
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/service"
@@ -129,5 +132,66 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 	}
 	if len(cl.Cluster) != 2 {
 		t.Fatalf("cloak(20) = %v, want the batched pair", cl.Cluster)
+	}
+}
+
+// TestCoordinatorCloseWithIdleClient: a client that stays connected
+// without sending anything must not stall Close — the coordinator closes
+// its tracked connections instead of waiting for clients to hang up.
+func TestCoordinatorCloseWithIdleClient(t *testing.T) {
+	coord := startCluster(t, 10, 2, 1, make([]uint64, 10), nil)
+	addr, err := coord.Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := service.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- coord.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		c.Close() // let the stuck Close finish so cleanup does not hang too
+		<-done
+		t.Fatal("Close blocked for 5s on an idle connected client")
+	}
+}
+
+// TestCoordinatorCloseAfterListenCtxCanceled: canceling Listen's ctx
+// stops the listener, and a later Close must not report the already
+// closed listener as an error (cloakd -coordinator does exactly this on
+// SIGINT).
+func TestCoordinatorCloseAfterListenCtxCanceled(t *testing.T) {
+	coord := startCluster(t, 10, 2, 1, make([]uint64, 10), nil)
+	ctx, cancel := context.WithCancel(bg)
+	addr, err := coord.Listen(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	// Wait until the cancellation has really closed the listener.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting 5s after its ctx was canceled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatalf("Close after ctx cancel = %v, want nil", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -501,6 +502,131 @@ func TestConcurrentUploadsAndCloaksAcrossSwaps(t *testing.T) {
 		t.Errorf("status after hammer = %+v", st)
 	}
 	t.Logf("%d cloaks served across %d epochs (%d builds)", served.Load(), maxEpoch.Load(), st.Builds)
+}
+
+// TestConcurrentChurn races uploaders, a rotator, and cloakers across
+// generation swaps with every rebuild running from scratch (run under
+// -race); TestConcurrentChurnIncremental is the same race on the
+// incremental build path.
+func TestConcurrentChurn(t *testing.T) {
+	runConcurrentChurn(t, WithIncremental(false))
+}
+
+// runConcurrentChurn races uploaders, a rotator, and cloakers across
+// generation swaps. The rotator rotates once per finished producer
+// batch, so rotations interleave with the uploads on any scheduler and
+// core count. Every served cluster must satisfy k-anonymity, contain
+// the host, and be reciprocal — each member's own cloak in the same
+// generation returns the same cluster — and the pipeline must keep
+// building.
+func runConcurrentChurn(t *testing.T, opts ...Option) {
+	t.Helper()
+	const rings, sz = 6, 10
+	const n = rings * sz
+	const producers, perProducer, batch = 3, 200, 20
+	m, err := New(n, append([]Option{WithK(3), WithWorkers(2)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	lists := multiRing(rings, sz)
+	for u, peers := range lists {
+		if err := m.Upload(bg, UploadRequest{User: u, Peers: peers}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Rotate(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+
+	var uploaders, rotator, cloakers sync.WaitGroup
+	stop := make(chan struct{})
+	// One token per finished producer batch; the rotator rotates on each.
+	batches := make(chan struct{}, producers*perProducer/batch)
+	for w := 0; w < producers; w++ {
+		uploaders.Add(1)
+		go func(w int) {
+			defer uploaders.Done()
+			rng := rand.New(rand.NewSource(int64(500 + w)))
+			for i := 1; i <= perProducer; i++ {
+				u := int32(rng.Intn(n))
+				peers := append([]RankedPeer(nil), lists[u]...)
+				peers[0].Rank = int32(1 + rng.Intn(4))
+				if err := m.Upload(bg, UploadRequest{User: u, Peers: peers}); err != nil {
+					t.Errorf("upload: %v", err)
+					return
+				}
+				if i%batch == 0 {
+					batches <- struct{}{}
+				}
+			}
+		}(w)
+	}
+	rotator.Add(1)
+	go func() {
+		defer rotator.Done()
+		for range batches {
+			if _, err := m.Rotate(bg); err != nil && !errors.Is(err, ErrNoNewUploads) {
+				t.Errorf("rotate: %v", err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		cloakers.Add(1)
+		go func(w int) {
+			defer cloakers.Done()
+			rng := rand.New(rand.NewSource(int64(600 + w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				host := int32(rng.Intn(n))
+				gen := m.Current()
+				cres, err := m.Cloak(bg, host)
+				if err != nil {
+					if strings.Contains(err.Error(), "smaller than k") {
+						continue
+					}
+					t.Errorf("cloak(%d): %v", host, err)
+					return
+				}
+				c := cres.Cluster
+				if c.Size() < 3 || !c.Contains(host) {
+					t.Errorf("bad cluster %v for host %d", c.Members, host)
+					return
+				}
+				if gen.Epoch != cres.Epoch {
+					continue // a swap landed in between; check the next one
+				}
+				for _, v := range c.Members {
+					cv, _, err := gen.Anon.Cloak(bg, v)
+					if err != nil || !slices.Equal(cv.Members, c.Members) {
+						t.Errorf("epoch %d: member %d of host %d's cluster %v cloaks to %v (err %v)",
+							gen.Epoch, v, host, c.Members, cv, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+
+	uploaders.Wait()
+	close(batches)
+	rotator.Wait()
+	if err := m.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	cloakers.Wait()
+	if st := m.Status(); st.Builds < 2 {
+		t.Errorf("only %d builds during the churn", st.Builds)
+	}
 }
 
 func TestHistoryCapAndStatus(t *testing.T) {

@@ -1,11 +1,9 @@
 package epoch
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -385,98 +383,9 @@ func TestBuildGraphIncrementalFallsBack(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurnIncremental races uploaders, an explicit rotator,
-// and cloakers against the incremental build path (run under -race).
-// Served clusters must always satisfy k-anonymity and contain the host.
+// TestConcurrentChurnIncremental races uploaders, a rotator, and
+// cloakers against the incremental build path (run under -race); see
+// runConcurrentChurn for the invariants.
 func TestConcurrentChurnIncremental(t *testing.T) {
-	const rings, sz = 6, 10
-	const n = rings * sz
-	m, err := New(n, WithK(3), WithWorkers(2), WithIncremental(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	lists := multiRing(rings, sz)
-	for u, peers := range lists {
-		if err := m.Upload(bg, UploadRequest{User: u, Peers: peers}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.Rotate(bg); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-
-	var producers, cloakers sync.WaitGroup
-	stop := make(chan struct{})
-	// Uploaders churn ranks inside random rings.
-	for w := 0; w < 3; w++ {
-		producers.Add(1)
-		go func(w int) {
-			defer producers.Done()
-			rng := rand.New(rand.NewSource(int64(300 + w)))
-			for i := 0; i < 200; i++ {
-				u := int32(rng.Intn(n))
-				peers := append([]RankedPeer(nil), lists[u]...)
-				peers[0].Rank = int32(1 + rng.Intn(4))
-				if err := m.Upload(bg, UploadRequest{User: u, Peers: peers}); err != nil && !errors.Is(err, ErrClosed) {
-					t.Errorf("upload: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	// Rotator forces incremental rebuilds throughout the churn.
-	producers.Add(1)
-	go func() {
-		defer producers.Done()
-		for i := 0; i < 40; i++ {
-			if _, err := m.Rotate(bg); err != nil &&
-				!errors.Is(err, ErrNoNewUploads) && !errors.Is(err, ErrClosed) {
-				t.Errorf("rotate: %v", err)
-				return
-			}
-		}
-	}()
-	// Cloakers read whatever generation is current.
-	for w := 0; w < 3; w++ {
-		cloakers.Add(1)
-		go func(w int) {
-			defer cloakers.Done()
-			rng := rand.New(rand.NewSource(int64(400 + w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				host := int32(rng.Intn(n))
-				cres, err := m.Cloak(bg, host)
-				if err != nil {
-					if strings.Contains(err.Error(), "smaller than k") {
-						continue
-					}
-					t.Errorf("cloak(%d): %v", host, err)
-					return
-				}
-				c := cres.Cluster
-				if c.Size() < 3 || !c.Contains(host) {
-					t.Errorf("bad cluster %v for host %d", c.Members, host)
-					return
-				}
-			}
-		}(w)
-	}
-
-	producers.Wait()
-	if err := m.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	cloakers.Wait()
-	if st := m.Status(); st.Builds < 2 {
-		t.Errorf("only %d builds during the churn", st.Builds)
-	}
+	runConcurrentChurn(t, WithIncremental(true))
 }

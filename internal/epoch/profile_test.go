@@ -230,76 +230,58 @@ func testProfileHeterogeneousMaxKi(t *testing.T) {
 	}
 }
 
-// TestProfileStickyAcrossUploads pins the documented sticky semantics
-// on both ingest paths: a profile-less re-upload (nil Profile) keeps
-// the stored profile and does not dirty the user's component, restating
-// the stored profile is equally change-free, and only the explicit zero
-// profile reverts to the service defaults — which is a change.
+// TestProfileStickyAcrossUploads pins the documented sticky semantics:
+// a profile-less re-upload (nil Profile) keeps the stored profile and
+// does not dirty the user's component, restating the stored profile is
+// equally change-free, and only the explicit zero profile reverts to
+// the service defaults — which is a change.
 func TestProfileStickyAcrossUploads(t *testing.T) {
-	for _, buffers := range []int{0, 2} {
-		name := "Direct"
-		if buffers > 0 {
-			name = "Buffered"
+	t.Run("Direct", func(t *testing.T) {
+		const n = 10
+		m, err := New(n, WithK(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			const n = 10
-			var opts []Option
-			opts = append(opts, WithK(2))
-			if buffers > 0 {
-				opts = append(opts, WithIngestBuffers(buffers))
-			}
-			m, err := New(n, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			list := []RankedPeer{{Peer: 1, Rank: 1}, {Peer: 2, Rank: 2}}
-			status := func() Status {
-				t.Helper()
-				if err := m.Reconcile(bg); err != nil {
-					t.Fatal(err)
-				}
-				return m.Status()
-			}
+		defer m.Close()
+		list := []RankedPeer{{Peer: 1, Rank: 1}, {Peer: 2, Rank: 2}}
 
-			prof := core.Profile{K: 5}
-			if err := m.Upload(bg, UploadRequest{User: 0, Peers: list, Profile: &prof}); err != nil {
-				t.Fatal(err)
-			}
-			if st := status(); st.Profiled != 1 {
-				t.Fatalf("after profiled upload: Profiled = %d, want 1", st.Profiled)
-			}
-			if _, err := m.Rotate(bg); err != nil {
-				t.Fatal(err)
-			}
+		prof := core.Profile{K: 5}
+		if err := m.Upload(bg, UploadRequest{User: 0, Peers: list, Profile: &prof}); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.Profiled != 1 {
+			t.Fatalf("after profiled upload: Profiled = %d, want 1", st.Profiled)
+		}
+		if _, err := m.Rotate(bg); err != nil {
+			t.Fatal(err)
+		}
 
-			// Omit: the stored profile survives and nothing is dirtied.
-			if err := m.Upload(bg, UploadRequest{User: 0, Peers: list}); err != nil {
-				t.Fatal(err)
-			}
-			if st := status(); st.Profiled != 1 || st.ChangedSinceTrigger != 0 {
-				t.Fatalf("after profile-less re-upload: Profiled=%d Changed=%d, want 1/0",
-					st.Profiled, st.ChangedSinceTrigger)
-			}
-			// Restate: an explicit set equal to the stored profile is
-			// equally change-free.
-			restate := prof
-			if err := m.Upload(bg, UploadRequest{User: 0, Peers: list, Profile: &restate}); err != nil {
-				t.Fatal(err)
-			}
-			if st := status(); st.Profiled != 1 || st.ChangedSinceTrigger != 0 {
-				t.Fatalf("after restated profile: Profiled=%d Changed=%d, want 1/0",
-					st.Profiled, st.ChangedSinceTrigger)
-			}
+		// Omit: the stored profile survives and nothing is dirtied.
+		if err := m.Upload(bg, UploadRequest{User: 0, Peers: list}); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.Profiled != 1 || st.ChangedSinceTrigger != 0 {
+			t.Fatalf("after profile-less re-upload: Profiled=%d Changed=%d, want 1/0",
+				st.Profiled, st.ChangedSinceTrigger)
+		}
+		// Restate: an explicit set equal to the stored profile is
+		// equally change-free.
+		restate := prof
+		if err := m.Upload(bg, UploadRequest{User: 0, Peers: list, Profile: &restate}); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.Profiled != 1 || st.ChangedSinceTrigger != 0 {
+			t.Fatalf("after restated profile: Profiled=%d Changed=%d, want 1/0",
+				st.Profiled, st.ChangedSinceTrigger)
+		}
 
-			// Explicit zero: reverts, and the revert is a change.
-			if err := m.Upload(bg, UploadRequest{User: 0, Peers: list, Profile: &core.Profile{}}); err != nil {
-				t.Fatal(err)
-			}
-			if st := status(); st.Profiled != 0 || st.ChangedSinceTrigger != 1 {
-				t.Fatalf("after explicit zero profile: Profiled=%d Changed=%d, want 0/1",
-					st.Profiled, st.ChangedSinceTrigger)
-			}
-		})
-	}
+		// Explicit zero: reverts, and the revert is a change.
+		if err := m.Upload(bg, UploadRequest{User: 0, Peers: list, Profile: &core.Profile{}}); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.Profiled != 0 || st.ChangedSinceTrigger != 1 {
+			t.Fatalf("after explicit zero profile: Profiled=%d Changed=%d, want 0/1",
+				st.Profiled, st.ChangedSinceTrigger)
+		}
+	})
 }

@@ -1,27 +1,15 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"nonexposure/internal/epoch"
 	"nonexposure/internal/metrics"
 	"nonexposure/internal/trace"
-)
-
-// Accept-error backoff bounds: a persistent Accept failure (EMFILE, for
-// example) must not busy-spin the accept loop, but recovery should be
-// quick once the condition clears.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 1 * time.Second
 )
 
 // Server is the network-facing anonymizer, backed by the epoch
@@ -38,8 +26,8 @@ type Server struct {
 	idleTimeout time.Duration
 	// epochOpts is passed through to epoch.New after the mirrored
 	// service options, so pipeline knobs (rebuild policy, incremental
-	// mode, ingest buffers, area estimator, ...) need no per-field
-	// service option; see WithEpochOptions.
+	// mode, area estimator, ...) need no per-field service option; see
+	// WithEpochOptions.
 	epochOpts []epoch.Option
 
 	mgr        *epoch.Manager
@@ -47,18 +35,9 @@ type Server struct {
 	em         *metrics.EpochMetrics
 	tracer     *trace.Recorder
 
-	// ctx governs every accept loop and connection; Close cancels it.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	listener net.Listener
-	wg       sync.WaitGroup
-
-	closeOnce sync.Once
-	closeErr  error
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	// ls runs the accept loop and the connections; its context governs
+	// every request and is canceled by Close.
+	ls *LineServer
 }
 
 // Option configures a Server.
@@ -80,19 +59,10 @@ func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
 // the options the server derives from its own configuration (k,
 // workers, metrics, tracing), so an explicit epoch option always wins.
 // This is the one extension point for pipeline knobs — rebuild policy,
-// incremental mode, ingest buffers, area estimator — so new epoch
-// options never need a mirrored service option.
+// incremental mode, area estimator — so new epoch options never need a
+// mirrored service option.
 func WithEpochOptions(opts ...epoch.Option) Option {
 	return func(s *Server) { s.epochOpts = append(s.epochOpts, opts...) }
-}
-
-// WithRebuildPolicy sets the automatic epoch rebuild policy. The default
-// is manual: only freeze/rotate requests trigger rebuilds, which is the
-// legacy freeze-once behavior.
-//
-// Deprecated: use WithEpochOptions(epoch.WithPolicy(p)) (removal: 2026-09).
-func WithRebuildPolicy(p epoch.Policy) Option {
-	return WithEpochOptions(epoch.WithPolicy(p))
 }
 
 // WithMetrics attaches epoch pipeline metrics (nil is fine; request
@@ -103,22 +73,6 @@ func WithMetrics(em *metrics.EpochMetrics) Option { return func(s *Server) { s.e
 // sends nothing for this long is disconnected (default 2m; <= 0
 // disables).
 func WithIdleTimeout(d time.Duration) Option { return func(s *Server) { s.idleTimeout = d } }
-
-// WithFullRebuild forces every epoch rebuild to run from scratch
-// instead of the default incremental sharded path.
-//
-// Deprecated: use WithEpochOptions(epoch.WithIncremental(!on)) (removal: 2026-09).
-func WithFullRebuild(on bool) Option {
-	return WithEpochOptions(epoch.WithIncremental(!on))
-}
-
-// WithIngestBuffers enables contention-aware buffered upload ingestion
-// with n per-shard buffers (sharded by user id).
-//
-// Deprecated: use WithEpochOptions(epoch.WithIngestBuffers(n)) (removal: 2026-09).
-func WithIngestBuffers(n int) Option {
-	return WithEpochOptions(epoch.WithIngestBuffers(n))
-}
 
 // WithTraceRecorder enables request tracing: every handled request gets
 // a root span threaded down through the epoch pipeline, anonymizer, and
@@ -134,7 +88,6 @@ func New(opts ...Option) (*Server, error) {
 		k:           10,
 		idleTimeout: 2 * time.Minute,
 		reqMetrics:  metrics.NewRequestMetrics(),
-		conns:       make(map[net.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -150,55 +103,30 @@ func New(opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s.mgr = mgr
-	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.ls = NewLineServer(s.handleLine, s.idleTimeout)
 	return s, nil
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address. The accept loop stops when ctx is canceled
-// or the server is closed, whichever comes first.
+// returns the bound address. The accept loop stops and open connections
+// close when ctx is canceled or the server is closed, whichever comes
+// first.
 func (s *Server) Listen(ctx context.Context, addr string) (net.Addr, error) {
-	l, err := net.Listen("tcp", addr)
+	a, err := s.ls.Listen(ctx, addr)
 	if err != nil {
 		return nil, fmt.Errorf("service: listen: %w", err)
 	}
-	s.listener = l
-	if ctx != nil && ctx.Done() != nil {
-		// Tie the caller's ctx to the server lifecycle.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			select {
-			case <-ctx.Done():
-				go s.Close() // Close waits on wg; don't deadlock on ourselves
-			case <-s.ctx.Done():
-			}
-		}()
-	}
-	s.wg.Add(1)
-	go s.acceptLoop(l)
-	return l.Addr(), nil
+	return a, nil
 }
 
 // Close stops accepting, closes open connections (a blocked read on an
-// idle client must not stall shutdown), shuts the epoch pipeline down,
-// and waits for the handler goroutines to finish. It is idempotent:
-// repeated calls return the first call's error.
+// idle client must not stall shutdown), waits for the handler
+// goroutines to finish, and shuts the epoch pipeline down. It is
+// idempotent: repeated calls return the first call's error.
 func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		s.cancel()
-		if s.listener != nil {
-			s.closeErr = s.listener.Close()
-		}
-		s.connMu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.connMu.Unlock()
-		s.wg.Wait()
-		s.mgr.Close()
-	})
-	return s.closeErr
+	err := s.ls.Close()
+	s.mgr.Close()
+	return err
 }
 
 // Metrics returns the server's request metrics (counts, error counts,
@@ -217,97 +145,22 @@ func (s *Server) Manager() *epoch.Manager { return s.mgr }
 // disabled). The admin endpoint reads recent span trees from it.
 func (s *Server) Tracer() *trace.Recorder { return s.tracer }
 
-func (s *Server) track(conn net.Conn) {
-	s.connMu.Lock()
-	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, conn)
-	s.connMu.Unlock()
-}
-
-func (s *Server) acceptLoop(l net.Listener) {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			// Persistent failures (EMFILE and friends) would otherwise spin
-			// this loop at 100% CPU; back off exponentially and retry.
-			if backoff == 0 {
-				backoff = acceptBackoffMin
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-s.ctx.Done():
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			continue
-		}
-		backoff = 0
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(s.ctx, conn)
-		}()
-	}
-}
-
-// serveConn handles one client: JSON request per line, JSON response per
-// line, until ctx dies, the idle deadline passes, or the client hangs
-// up. Malformed lines get an error response instead of a dropped
-// connection, so one bad request does not kill a pipelined client; an
-// over-long line is unrecoverable (the framing is lost) and does.
-// Requests carrying "v":1 are answered with the v1 Envelope.
-func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
-	s.track(conn)
-	defer s.untrack(conn)
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
-	enc := json.NewEncoder(conn)
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		if s.idleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-				return
-			}
-		}
-		if !sc.Scan() {
-			return
-		}
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		req, err := ParseRequest(line)
-		var out any
-		switch {
-		case err != nil:
-			// The version of a malformed line is unknowable; reply with the
-			// legacy shape, which v1 clients also understand.
-			out = Response{Error: err.Error()}
-			s.reqMetrics.Observe("malformed", 0, false)
-		case req.V >= 1:
-			out = s.HandleEnvelope(ctx, req)
-		default:
-			out = s.handleV0(ctx, req)
-		}
-		if err := enc.Encode(out); err != nil {
-			return
-		}
+// handleLine answers one request line. Malformed lines get an error
+// response instead of a dropped connection, so one bad request does not
+// kill a pipelined client. Requests carrying "v":1 are answered with
+// the v1 Envelope.
+func (s *Server) handleLine(ctx context.Context, line []byte) any {
+	req, err := ParseRequest(line)
+	switch {
+	case err != nil:
+		// The version of a malformed line is unknowable; reply with the
+		// legacy shape, which v1 clients also understand.
+		s.reqMetrics.Observe("malformed", 0, false)
+		return Response{Error: err.Error()}
+	case req.V >= 1:
+		return s.HandleEnvelope(ctx, req)
+	default:
+		return s.handleV0(ctx, req)
 	}
 }
 
@@ -315,7 +168,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 // transports) can bypass TCP. Every request is timed and counted in the
 // server's metrics.
 func (s *Server) Handle(req Request) Response {
-	return s.handleV0(s.ctx, req)
+	return s.handleV0(s.ls.Context(), req)
 }
 
 func (s *Server) handleV0(ctx context.Context, req Request) Response {

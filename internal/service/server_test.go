@@ -52,9 +52,9 @@ func TestAcceptLoopBacksOffOnPersistentError(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := &flakyListener{err: errors.New("accept tcp: too many open files")}
-	srv.listener = fake
-	srv.wg.Add(1)
-	go srv.acceptLoop(fake)
+	if err := srv.ls.serve(fake); err != nil {
+		t.Fatal(err)
+	}
 
 	const window = 300 * time.Millisecond
 	time.Sleep(window)
@@ -130,9 +130,9 @@ func TestAcceptLoopRecoversAfterErrors(t *testing.T) {
 	defer client.Close()
 	tmpErr := errors.New("transient accept failure")
 	fake := newSequencedListener(tmpErr, tmpErr, tmpErr, server)
-	srv.listener = fake
-	srv.wg.Add(1)
-	go srv.acceptLoop(fake)
+	if err := srv.ls.serve(fake); err != nil {
+		t.Fatal(err)
+	}
 
 	// The served connection answers a ping.
 	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
