@@ -27,6 +27,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative max-staleness", func(c *config) { c.maxStale = -time.Second }, "-max-staleness must be >= 0"},
 		{"max-staleness on", func(c *config) { c.maxStale = 30 * time.Second }, ""},
 		{"coordinator with failover", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = time.Second }, ""},
+		{"coordinator with shard tuning", func(c *config) { c.coordinator = true; c.shards = 2; c.frac = 0.5 },
+			"rebuild tuning flags"},
 		{"negative failover-after", func(c *config) { c.coordinator = true; c.shards = 2; c.failoverAfter = -time.Second },
 			"-failover-after must be >= 0"},
 		{"failover-after without coordinator", func(c *config) { c.failoverAfter = time.Second },

@@ -29,22 +29,22 @@ func newTestHandler(t *testing.T) (*Handler, *service.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	handle := func(req service.Request) {
+		t.Helper()
+		req.V = service.ProtocolVersion
+		if env := srv.HandleEnvelope(context.Background(), req); env.Error != "" {
+			t.Fatalf("%s: %s", req.Op, env.Error)
+		}
+	}
 	for i := int32(0); i < 8; i++ {
-		resp := srv.Handle(service.Request{Op: service.OpUpload, User: i,
+		handle(service.Request{Op: service.OpUpload, User: i,
 			Peers: []service.PeerRank{
 				{Peer: (i + 1) % 8, Rank: 1},
 				{Peer: (i + 7) % 8, Rank: 2},
 			}})
-		if resp.Error != "" {
-			t.Fatalf("upload %d: %s", i, resp.Error)
-		}
 	}
-	if resp := srv.Handle(service.Request{Op: service.OpFreeze}); resp.Error != "" {
-		t.Fatalf("freeze: %s", resp.Error)
-	}
-	if resp := srv.Handle(service.Request{Op: service.OpCloak, User: 3}); resp.Error != "" {
-		t.Fatalf("cloak: %s", resp.Error)
-	}
+	handle(service.Request{Op: service.OpFreeze})
+	handle(service.Request{Op: service.OpCloak, User: 3})
 	return New(srv), srv
 }
 

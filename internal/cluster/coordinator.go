@@ -336,6 +336,13 @@ func (c *Coordinator) Upload(ctx context.Context, req UploadRequest) error {
 			return fmt.Errorf("cluster: rank %d for peer %d must be >= 1", pr.Rank, pr.Peer)
 		}
 	}
+	// A shard would reject this profile only at the next flush, failing
+	// that Rotate (or, with fail-over, marking a healthy shard failing).
+	if p := prof.Core(); p != nil {
+		if err := p.Validate(c.numUsers); err != nil {
+			return fmt.Errorf("cluster: %w", err)
+		}
+	}
 	stored := append([]service.PeerRank(nil), peers...)
 	var storedProf *service.ProfileSpec
 	if prof != nil {

@@ -358,12 +358,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("x"), WithFailover(Failover{DeadAfter: -time.Second})); err == nil {
 		t.Error("negative failover deadline accepted")
 	}
-	keys := make([]uint64, 10)
-	coord, err := New(WithNumUsers(10), WithK(2), WithShardAddrs("127.0.0.1:1"), WithKeys(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord := startCluster(t, 10, 2, 2, make([]uint64, 10), nil)
 	if err := coord.Upload(bg, UploadRequest{User: -1}); err == nil {
 		t.Error("negative user accepted")
 	}
@@ -378,5 +373,36 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 	if _, err := coord.Cloak(bg, 11); err == nil {
 		t.Error("out-of-range cloak accepted")
+	}
+
+	// A profile a shard would refuse must be refused by Upload itself,
+	// not stored and forwarded to fail the next Rotate's flush.
+	for u := int32(0); u < 10; u++ {
+		ring := []service.PeerRank{{Peer: (u + 1) % 10, Rank: 1}, {Peer: (u + 9) % 10, Rank: 2}}
+		if err := coord.Upload(bg, UploadRequest{User: u, Peers: ring}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bad := range []service.ProfileSpec{{K: -1}, {K: 11}, {MaxArea: -1}, {MaxStalenessMs: -1}} {
+		if err := coord.Upload(bg, UploadRequest{User: 1, Profile: &bad}); err == nil {
+			t.Errorf("profile %+v accepted", bad)
+		}
+	}
+	if _, err := coord.Rotate(bg); err != nil {
+		t.Fatalf("rotate after the rejected profiles: %v", err)
+	}
+
+	// Over the wire, the bad entry bounds an upload_batch's applied prefix.
+	env := coord.handle(bg, service.Request{V: service.ProtocolVersion, Op: service.OpUploadBatch, Uploads: []service.UploadEntry{
+		{User: 2, Peers: []service.PeerRank{{Peer: 3, Rank: 1}}},
+		{User: 3, Peers: []service.PeerRank{{Peer: 2, Rank: 1}}},
+		{User: 4, Profile: &service.ProfileSpec{K: -1}},
+		{User: 5},
+	}})
+	if env.OK || env.Batch == nil || env.Batch.Accepted != 2 || !strings.Contains(env.Error, "profile k -1") {
+		t.Fatalf("batch with a bad profile at index 2 = %+v, want accepted 2 and the profile error", env)
+	}
+	if _, err := coord.Rotate(bg); err != nil {
+		t.Fatalf("rotate after the rejected batch entry: %v", err)
 	}
 }

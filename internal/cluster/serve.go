@@ -11,9 +11,9 @@ import (
 
 // Listen starts the coordinator's protocol listener on addr and returns
 // the bound address. It speaks the same line-delimited JSON protocol as
-// a single cloakd (v0 and v1), so existing clients work unchanged
-// against a cluster. Canceling ctx stops the listener and closes its
-// connections; Close does that too and then shuts the shard I/O down.
+// a single cloakd, so existing clients work unchanged against a
+// cluster. Canceling ctx stops the listener and closes its connections;
+// Close does that too and then shuts the shard I/O down.
 func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error) {
 	a, err := c.ls.Listen(ctx, addr)
 	if err != nil {
@@ -23,111 +23,82 @@ func (c *Coordinator) Listen(ctx context.Context, addr string) (net.Addr, error)
 }
 
 // handleLine answers one request line and folds it into the
-// coordinator's request metrics.
-func (c *Coordinator) handleLine(ctx context.Context, line []byte) any {
+// coordinator's request metrics. A malformed line gets an error
+// envelope, as from a single cloakd.
+func (c *Coordinator) handleLine(ctx context.Context, line []byte) service.Envelope {
 	req, err := service.ParseRequest(line)
 	if err != nil {
-		return service.Response{Error: err.Error()}
+		return errEnvelope(err)
 	}
 	start := time.Now()
-	resp, ok := c.handle(ctx, req)
-	c.rm.Observe(string(req.Op), time.Since(start), ok)
-	return resp
+	env := c.handle(ctx, req)
+	c.rm.Observe(string(req.Op), time.Since(start), env.OK)
+	return env
 }
 
-// handle answers one request in the shape its protocol version expects.
-func (c *Coordinator) handle(ctx context.Context, req service.Request) (any, bool) {
-	v1 := req.V >= service.ProtocolVersion
-	fail := func(err error) (any, bool) {
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, Error: err.Error()}, false
-		}
-		return service.Response{Error: err.Error()}, false
+// errEnvelope wraps err in an error envelope.
+func errEnvelope(err error) service.Envelope {
+	return service.Envelope{V: service.ProtocolVersion, Error: err.Error()}
+}
+
+// handle answers one request.
+func (c *Coordinator) handle(ctx context.Context, req service.Request) service.Envelope {
+	if err := req.CheckVersion(); err != nil {
+		return errEnvelope(err)
 	}
+	ok := service.Envelope{V: service.ProtocolVersion, OK: true}
 	switch req.Op {
 	case service.OpPing:
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true}, true
-		}
-		return service.Response{OK: true}, true
+		return ok
 
 	case service.OpUpload:
-		var prof *service.ProfileSpec
-		if v1 {
-			prof = req.Profile
+		if err := c.Upload(ctx, UploadRequest{User: req.User, Peers: req.Peers, Profile: req.Profile}); err != nil {
+			return errEnvelope(err)
 		}
-		if err := c.Upload(ctx, UploadRequest{User: req.User, Peers: req.Peers, Profile: prof}); err != nil {
-			return fail(err)
-		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true}, true
-		}
-		return service.Response{OK: true}, true
+		return ok
 
 	case service.OpUploadBatch:
-		if !v1 {
-			return service.Response{Error: `upload_batch requires "v":1`}, false
-		}
 		for i, e := range req.Uploads {
 			if err := c.Upload(ctx, UploadRequest{User: e.User, Peers: e.Peers, Profile: e.Profile}); err != nil {
-				env := service.Envelope{V: service.ProtocolVersion, Error: err.Error()}
+				env := errEnvelope(err)
 				env.Batch = &service.BatchPayload{Accepted: i}
-				return env, false
+				return env
 			}
 		}
-		return service.Envelope{V: service.ProtocolVersion, OK: true, Batch: &service.BatchPayload{Accepted: len(req.Uploads)}}, true
+		ok.Batch = &service.BatchPayload{Accepted: len(req.Uploads)}
+		return ok
 
 	case service.OpCloak:
 		p, err := c.Cloak(ctx, req.User)
 		if err != nil {
-			return fail(err)
+			return errEnvelope(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Cloak: p}, true
-		}
-		return service.Response{OK: true, Cluster: p.Cluster, Cost: p.Cost, Epoch: p.Epoch}, true
+		ok.Cloak = p
+		return ok
 
 	case service.OpFreeze, service.OpRotate:
-		st, err := c.Rotate(ctx)
-		if err != nil {
-			return fail(err)
+		if _, err := c.Rotate(ctx); err != nil {
+			return errEnvelope(err)
 		}
-		if v1 {
-			ep, err := c.EpochStatus(ctx)
-			if err != nil {
-				return fail(err)
-			}
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Epoch: ep}, true
-		}
-		return service.Response{OK: true, EdgeCount: st.Edges, Epoch: st.Epoch}, true
+		fallthrough
 
 	case service.OpEpoch:
 		ep, err := c.EpochStatus(ctx)
 		if err != nil {
-			return fail(err)
+			return errEnvelope(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Epoch: ep}, true
-		}
-		return service.Response{OK: true, Epoch: ep.Epoch, Frozen: ep.Published, EdgeCount: ep.Edges, Clusters: ep.Clusters}, true
+		ok.Epoch = ep
+		return ok
 
 	case service.OpStats:
 		sp, err := c.Stats(ctx)
 		if err != nil {
-			return fail(err)
+			return errEnvelope(err)
 		}
-		if v1 {
-			return service.Envelope{V: service.ProtocolVersion, OK: true, Stats: sp}, true
-		}
-		return service.Response{
-			OK: true, Users: sp.Users, Uploads: sp.Uploads, Frozen: sp.Frozen,
-			Epoch: sp.Epoch, Clusters: sp.Clusters, EdgeCount: sp.Edges,
-			Requests: sp.Requests, ReqErrors: sp.ReqErrors,
-			LatP50us: sp.LatP50us, LatP95us: sp.LatP95us, LatP99us: sp.LatP99us,
-			OpCounts: sp.OpCounts,
-		}, true
+		ok.Stats = sp
+		return ok
 
 	default:
-		return fail(fmt.Errorf("cluster: unknown op %q", req.Op))
+		return errEnvelope(fmt.Errorf("cluster: unknown op %q", req.Op))
 	}
 }

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +15,7 @@ import (
 
 // TestCoordinatorWireProtocol drives the coordinator through its TCP
 // front-end with a stock service.Client: a cluster must be a drop-in
-// replacement for one cloakd on both protocol versions.
+// replacement for one cloakd.
 func TestCoordinatorWireProtocol(t *testing.T) {
 	n, k := 30, 2
 	keys := make([]uint64, n)
@@ -58,20 +61,19 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 		t.Fatalf("freeze reported %d edges, want 4 (triangle 3 + pair 1)", edges)
 	}
 
-	// v0 cloak.
-	cluster, _, err := c.Cloak(15)
+	cp, err := c.CloakV1(15)
 	if err != nil {
 		t.Fatalf("cloak: %v", err)
 	}
-	if len(cluster) != 3 {
-		t.Fatalf("cloak(15) = %v, want the triangle", cluster)
+	if len(cp.Cluster) != 3 {
+		t.Fatalf("cloak(15) = %v, want the triangle", cp.Cluster)
 	}
-	// v1 cloak for a user in no component.
+	// Cloak for a user in no component.
 	if _, err := c.CloakV1(9); err == nil {
 		t.Fatal("cloak of an unknown user succeeded")
 	}
 
-	// v1 epoch + stats aggregates.
+	// Epoch + stats aggregates.
 	ep, err := c.EpochStatus()
 	if err != nil {
 		t.Fatalf("epoch: %v", err)
@@ -86,7 +88,7 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 	if st.Users != n || st.Uploads != 5 || !st.Frozen {
 		t.Fatalf("stats payload = %+v, want users=%d uploads=5 frozen", st, n)
 	}
-	// v1 rotate with nothing new: shards answer "no new uploads", the
+	// Rotate with nothing new: shards answer "no new uploads", the
 	// coordinator still advances its rotation count.
 	ep2, err := c.Rotate()
 	if err != nil {
@@ -107,7 +109,7 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 		t.Fatalf("cluster metrics %s: ordered forwards never batched", snap)
 	}
 
-	// The coordinator front-end also accepts upload_batch (v1 only) and
+	// The coordinator front-end also accepts upload_batch and
 	// relays the per-entry routing, including mid-batch rejection.
 	accepted, err := c.UploadBatch([]service.UploadEntry{
 		{User: 20, Peers: []service.PeerRank{{Peer: 21, Rank: 1}}},
@@ -193,5 +195,65 @@ func TestCoordinatorCloseAfterListenCtxCanceled(t *testing.T) {
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatalf("Close after ctx cancel = %v, want nil", err)
+	}
+}
+
+// TestVersionlessLineGetsVersionError sends a line without "v" and then
+// a v1 line on one TCP connection, to a single cloakd and to a
+// coordinator: the first gets a v1 error envelope naming the version to
+// send, and the connection survives to serve the second.
+func TestVersionlessLineGetsVersionError(t *testing.T) {
+	srv, err := service.New(service.WithNumUsers(10), service.WithK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	srvAddr, err := srv.Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := startCluster(t, 10, 2, 2, make([]uint64, 10), nil)
+	coordAddr, err := coord.Listen(bg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, addr := range map[string]net.Addr{"cloakd": srvAddr, "coordinator": coordAddr} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			rd := bufio.NewReader(conn)
+			send := func(line string) service.Envelope {
+				t.Helper()
+				if _, err := conn.Write([]byte(line + "\n")); err != nil {
+					t.Fatalf("write %q: %v", line, err)
+				}
+				raw, err := rd.ReadBytes('\n')
+				if err != nil {
+					t.Fatalf("read answer to %q: %v", line, err)
+				}
+				var env service.Envelope
+				if err := json.Unmarshal(raw, &env); err != nil {
+					t.Fatalf("answer %q to %q: %v", raw, line, err)
+				}
+				return env
+			}
+
+			env := send(`{"op":"stats"}`)
+			if env.V != service.ProtocolVersion || env.OK || env.Stats != nil ||
+				!strings.Contains(env.Error, `unsupported protocol version 0 (send "v":1)`) {
+				t.Fatalf("version-less stats = %+v, want a v1 version error", env)
+			}
+			env = send(`{"v":1,"op":"stats"}`)
+			if !env.OK || env.Stats == nil || env.Stats.Users != 10 {
+				t.Fatalf("v1 stats after the version error = %+v", env)
+			}
+		})
 	}
 }

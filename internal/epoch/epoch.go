@@ -263,7 +263,7 @@ func (g *Generation) transcriptLine() string {
 // Sentinel errors.
 var (
 	// ErrNotReady: no generation has been published yet. The message
-	// deliberately contains "not frozen" for v0 protocol compatibility.
+	// contains "not frozen", the text clients and tests match on.
 	ErrNotReady = errors.New("epoch: graph not frozen yet (no epoch published; upload then freeze or rotate)")
 	// ErrNoNewUploads: a rotate was requested but nothing changed since
 	// the previous trigger, so the rebuild would reproduce the serving

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -11,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"nonexposure/internal/dataset"
 	"nonexposure/internal/metrics"
+	"nonexposure/internal/rss"
+	"nonexposure/internal/wpg"
 )
 
 var bg = context.Background()
@@ -70,6 +74,49 @@ func TestBuildGraphMutualEdges(t *testing.T) {
 	if w, ok := g.Weight(0, 1); !ok || w != 1 {
 		t.Errorf("weight(0,1) = %d,%v, want 1,true", w, ok)
 	}
+	// One list mixing a mutual peer, a self-reference and a one-sided
+	// claim on a user whose upload is empty: only the mutual pair forms
+	// an edge.
+	g, err = BuildGraph(3, map[int32][]RankedPeer{
+		0: {{Peer: 1, Rank: 1}, {Peer: 0, Rank: 2}, {Peer: 2, Rank: 3}},
+		1: {{Peer: 0, Rank: 2}},
+		2: {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 1 {
+		t.Errorf("mixed lists: %d edges, want 1 (only the mutual pair)", g.NumEdges())
+	}
+	if w, ok := g.Weight(0, 1); !ok || w != 1 {
+		t.Errorf("mixed lists: weight(0,1) = %d,%v, want 1,true (min of 1 and 2)", w, ok)
+	}
+}
+
+// TestBuildGraphReconstructsWPG: the ranked lists a device population
+// uploads (each vertex's neighbors with their RSS ranks) rebuild the
+// exact WPG they were read from.
+func TestBuildGraphReconstructsWPG(t *testing.T) {
+	pts := dataset.GaussianClusters(300, 3, 0.05, 4)
+	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.05, MaxPeers: 6, Model: rss.InverseModel{}})
+	uploads := make(map[int32][]RankedPeer, g.NumVertices())
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		for _, e := range g.Neighbors(v) {
+			uploads[v] = append(uploads[v], RankedPeer{Peer: e.To, Rank: e.W})
+		}
+	}
+	rebuilt, err := BuildGraph(g.NumVertices(), uploads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.NumEdges() != g.NumEdges() {
+		t.Fatalf("edges %d != %d", rebuilt.NumEdges(), g.NumEdges())
+	}
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		if !reflect.DeepEqual(rebuilt.Neighbors(v), g.Neighbors(v)) {
+			t.Fatalf("adjacency of %d differs after reconstruction", v)
+		}
+	}
 }
 
 func TestRotatePublishesGeneration(t *testing.T) {
@@ -80,7 +127,7 @@ func TestRotatePublishesGeneration(t *testing.T) {
 	}
 	defer m.Close()
 
-	// Nothing published yet: v0 clients must still see "not frozen".
+	// Nothing published yet: the error keeps its "not frozen" text.
 	if _, err := m.Cloak(bg, 0); !errors.Is(err, ErrNotReady) ||
 		!strings.Contains(err.Error(), "not frozen") {
 		t.Fatalf("cloak before publish = %v", err)

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Client is a device-side connection to the anonymizer service. The
-// legacy methods (Upload, Freeze, Cloak, Stats) speak v0; the *V1
-// methods and Rotate/EpochStatus speak the v1 envelope protocol.
+// Client is a device-side connection to the anonymizer service (a
+// single cloakd or a cluster coordinator). Every method sends one "v":1
+// request and decodes the Envelope answer.
 type Client struct {
 	conn      net.Conn
 	dec       *json.Decoder
@@ -80,25 +80,10 @@ func (c *Client) arm() {
 	}
 }
 
-func (c *Client) roundTrip(req Request) (Response, error) {
-	c.arm()
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, fmt.Errorf("service: send %s: %w", req.Op, err)
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return Response{}, fmt.Errorf("service: receive %s: %w", req.Op, err)
-	}
-	if !resp.OK {
-		return resp, fmt.Errorf("service: %s: %s", req.Op, resp.Error)
-	}
-	return resp, nil
-}
-
-// roundTripV1 sends a version-1 request and decodes the envelope. A
-// server answering a malformed line replies in the v0 shape; that still
-// decodes here (V stays 0, Error carries the reason).
-func (c *Client) roundTripV1(req Request) (Envelope, error) {
+// call sends one request and decodes the envelope. An envelope with
+// ok:false comes back alongside an error carrying the server's reason,
+// so callers can still read its payload (upload_batch's accepted count).
+func (c *Client) call(req Request) (Envelope, error) {
 	c.arm()
 	req.V = ProtocolVersion
 	if err := c.enc.Encode(req); err != nil {
@@ -116,53 +101,40 @@ func (c *Client) roundTripV1(req Request) (Envelope, error) {
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(Request{Op: OpPing})
+	_, err := c.call(Request{Op: OpPing})
 	return err
 }
 
 // Upload submits this user's ranked peer list. Uploads are accepted at
 // any time; once an epoch has been published they become input to the
-// next one.
+// next one. Any stored profile is left untouched.
 func (c *Client) Upload(user int32, peers []PeerRank) error {
-	_, err := c.roundTrip(Request{Op: OpUpload, User: user, Peers: peers})
+	_, err := c.call(Request{Op: OpUpload, User: user, Peers: peers})
 	return err
 }
 
 // Freeze forces an epoch rotation and waits for it to publish; cloaking
 // is available afterwards. Returns the number of mutual edges formed.
 func (c *Client) Freeze() (int, error) {
-	resp, err := c.roundTrip(Request{Op: OpFreeze})
+	env, err := c.call(Request{Op: OpFreeze})
 	if err != nil {
 		return 0, err
 	}
-	return resp.EdgeCount, nil
-}
-
-// Cloak requests the k-anonymity cluster for user. cost is the number of
-// messages this request caused on the server side (the epoch's upload
-// count for the first request served from each generation, zero after).
-func (c *Client) Cloak(user int32) (cluster []int32, cost int, err error) {
-	resp, err := c.roundTrip(Request{Op: OpCloak, User: user})
-	if err != nil {
-		return nil, 0, err
+	if env.Epoch == nil {
+		return 0, fmt.Errorf("service: freeze: response missing payload")
 	}
-	return resp.Cluster, resp.Cost, nil
-}
-
-// Stats fetches server state in the legacy flat shape.
-func (c *Client) Stats() (Response, error) {
-	return c.roundTrip(Request{Op: OpStats})
+	return env.Epoch.Edges, nil
 }
 
 // UploadProfile submits this user's ranked peer list together with a
-// personalized privacy profile over the v1 protocol. A zero ProfileSpec
-// reverts the user to the service defaults.
+// personalized privacy profile. A zero ProfileSpec reverts the user to
+// the service defaults.
 func (c *Client) UploadProfile(user int32, peers []PeerRank, prof ProfileSpec) error {
-	_, err := c.roundTripV1(Request{Op: OpUpload, User: user, Peers: peers, Profile: &prof})
+	_, err := c.call(Request{Op: OpUpload, User: user, Peers: peers, Profile: &prof})
 	return err
 }
 
-// UploadBatch submits several uploads in one v1 round trip. Entries
+// UploadBatch submits several uploads in one round trip. Entries
 // apply strictly in slice order and stop at the first failure, so the
 // batch is behaviorally identical to the same sequence of single
 // uploads on this connection — just one round trip instead of many.
@@ -175,7 +147,7 @@ func (c *Client) UploadProfile(user int32, peers []PeerRank, prof ProfileSpec) e
 // (everything after it was not attempted); on a transport error it is 0
 // and the caller cannot know how much of the batch landed.
 func (c *Client) UploadBatch(entries []UploadEntry) (int, error) {
-	env, err := c.roundTripV1(Request{Op: OpUploadBatch, Uploads: entries})
+	env, err := c.call(Request{Op: OpUploadBatch, Uploads: entries})
 	if err != nil {
 		if env.Batch != nil {
 			return env.Batch.Accepted, err
@@ -183,21 +155,22 @@ func (c *Client) UploadBatch(entries []UploadEntry) (int, error) {
 		return 0, err
 	}
 	if env.Batch == nil {
-		return 0, fmt.Errorf("service: upload_batch: v1 response missing payload")
+		return 0, fmt.Errorf("service: upload_batch: response missing payload")
 	}
 	return env.Batch.Accepted, nil
 }
 
-// CloakV1 requests the k-anonymity cluster for user over the v1
-// protocol; the payload reports which epoch served the answer, and its
-// Cost field is present even when zero.
+// CloakV1 requests the k-anonymity cluster for user. The payload
+// reports which epoch served the answer; Cost is the number of messages
+// the request caused server-side (the epoch's upload count for the
+// first request served from each generation, zero after).
 func (c *Client) CloakV1(user int32) (*CloakPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpCloak, User: user})
+	env, err := c.call(Request{Op: OpCloak, User: user})
 	if err != nil {
 		return nil, err
 	}
 	if env.Cloak == nil {
-		return nil, fmt.Errorf("service: cloak: v1 response missing payload")
+		return nil, fmt.Errorf("service: cloak: response missing payload")
 	}
 	return env.Cloak, nil
 }
@@ -205,37 +178,36 @@ func (c *Client) CloakV1(user int32) (*CloakPayload, error) {
 // Rotate forces a new epoch without waiting for its build. The returned
 // payload's Epoch is the freshly assigned generation number.
 func (c *Client) Rotate() (*EpochPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpRotate})
+	env, err := c.call(Request{Op: OpRotate})
 	if err != nil {
 		return nil, err
 	}
 	if env.Epoch == nil {
-		return nil, fmt.Errorf("service: rotate: v1 response missing payload")
+		return nil, fmt.Errorf("service: rotate: response missing payload")
 	}
 	return env.Epoch, nil
 }
 
 // EpochStatus reports the re-clustering pipeline state.
 func (c *Client) EpochStatus() (*EpochPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpEpoch})
+	env, err := c.call(Request{Op: OpEpoch})
 	if err != nil {
 		return nil, err
 	}
 	if env.Epoch == nil {
-		return nil, fmt.Errorf("service: epoch: v1 response missing payload")
+		return nil, fmt.Errorf("service: epoch: response missing payload")
 	}
 	return env.Epoch, nil
 }
 
-// StatsV1 fetches server state in the v1 shape ("frozen" always
-// present).
+// StatsV1 fetches server state and request metrics.
 func (c *Client) StatsV1() (*StatsPayload, error) {
-	env, err := c.roundTripV1(Request{Op: OpStats})
+	env, err := c.call(Request{Op: OpStats})
 	if err != nil {
 		return nil, err
 	}
 	if env.Stats == nil {
-		return nil, fmt.Errorf("service: stats: v1 response missing payload")
+		return nil, fmt.Errorf("service: stats: response missing payload")
 	}
 	return env.Stats, nil
 }

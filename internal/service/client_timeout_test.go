@@ -56,6 +56,8 @@ func TestClientOpTimeoutAgainstSilentServer(t *testing.T) {
 	}
 }
 
+// TestClientOpTimeoutV1AgainstSilentServer covers a round trip that
+// decodes a payload, not just the bare ok of Ping.
 func TestClientOpTimeoutV1AgainstSilentServer(t *testing.T) {
 	ln := silentListener(t)
 	c, err := Dial(ln.Addr().String(), WithOpTimeout(100*time.Millisecond))
@@ -100,7 +102,7 @@ func TestClientDeadlineIsPerOperation(t *testing.T) {
 			if i == 1 {
 				time.Sleep(150 * time.Millisecond)
 			}
-			if _, err := conn.Write([]byte("{\"ok\":true}\n")); err != nil {
+			if _, err := conn.Write([]byte("{\"v\":1,\"ok\":true}\n")); err != nil {
 				return
 			}
 		}

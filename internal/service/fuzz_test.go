@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // FuzzProtocolDecode throws arbitrary bytes at the wire codec and the
 // request dispatcher: ParseRequest must never panic, accepted requests
-// must survive a marshal/re-parse round trip unchanged, and Handle must
-// return a well-formed response for anything the codec lets through.
+// must survive a marshal/re-parse round trip unchanged, and
+// HandleEnvelope must return a well-formed v1 envelope for anything the
+// codec lets through. The version-less seeds exercise the rejection of
+// requests that do not send "v":1.
 func FuzzProtocolDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"ping"}`))
 	f.Add([]byte(`{"op":"upload","user":3,"peers":[{"peer":1,"rank":1},{"peer":2,"rank":2}]}`))
@@ -66,15 +69,8 @@ func FuzzProtocolDecode(f *testing.F) {
 		}
 
 		// The dispatcher must answer anything the codec accepts without
-		// panicking, and its response must itself encode — in both wire
-		// versions.
-		resp := srv.Handle(req)
-		if _, merr := json.Marshal(resp); merr != nil {
-			t.Fatalf("response does not marshal: %v", merr)
-		}
-		if resp.OK && resp.Error != "" {
-			t.Fatalf("response both OK and errored: %+v", resp)
-		}
+		// panicking, with an envelope that encodes, carries v1, and is
+		// exactly one of a success or a reasoned failure.
 		env := srv.HandleEnvelope(context.Background(), req)
 		if _, merr := json.Marshal(env); merr != nil {
 			t.Fatalf("envelope does not marshal: %v", merr)
@@ -82,8 +78,11 @@ func FuzzProtocolDecode(f *testing.F) {
 		if env.V != ProtocolVersion {
 			t.Fatalf("envelope version = %d, want %d", env.V, ProtocolVersion)
 		}
-		if env.OK && env.Error != "" {
-			t.Fatalf("envelope both OK and errored: %+v", env)
+		if env.OK == (env.Error != "") {
+			t.Fatalf("envelope must be exactly one of OK or errored: %+v", env)
+		}
+		if req.V < ProtocolVersion && (env.OK || !strings.Contains(env.Error, "unsupported protocol version")) {
+			t.Fatalf("version %d request not rejected: %+v", req.V, env)
 		}
 	})
 }

@@ -19,10 +19,10 @@ const (
 	acceptBackoffMax = 1 * time.Second
 )
 
-// LineHandler answers one non-blank request line. The returned value is
-// written back as one JSON line. ctx is the LineServer's lifecycle
+// LineHandler answers one non-blank request line. The returned envelope
+// is written back as one JSON line. ctx is the LineServer's lifecycle
 // context, canceled by Close.
-type LineHandler func(ctx context.Context, line []byte) any
+type LineHandler func(ctx context.Context, line []byte) Envelope
 
 // LineServer is the accept-and-serve loop of the line-delimited JSON
 // protocol, shared by Server and the cluster coordinator. It accepts
@@ -61,10 +61,6 @@ func NewLineServer(handle LineHandler, idleTimeout time.Duration) *LineServer {
 		conns:       make(map[net.Conn]struct{}),
 	}
 }
-
-// Context is the lifecycle context handed to the handler; Close
-// cancels it.
-func (l *LineServer) Context() context.Context { return l.ctx }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address. Canceling ctx closes the LineServer, just

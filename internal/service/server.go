@@ -146,45 +146,24 @@ func (s *Server) Manager() *epoch.Manager { return s.mgr }
 func (s *Server) Tracer() *trace.Recorder { return s.tracer }
 
 // handleLine answers one request line. Malformed lines get an error
-// response instead of a dropped connection, so one bad request does not
-// kill a pipelined client. Requests carrying "v":1 are answered with
-// the v1 Envelope.
-func (s *Server) handleLine(ctx context.Context, line []byte) any {
+// envelope instead of a dropped connection, so one bad request does not
+// kill a pipelined client.
+func (s *Server) handleLine(ctx context.Context, line []byte) Envelope {
 	req, err := ParseRequest(line)
-	switch {
-	case err != nil:
-		// The version of a malformed line is unknowable; reply with the
-		// legacy shape, which v1 clients also understand.
+	if err != nil {
 		s.reqMetrics.Observe("malformed", 0, false)
-		return Response{Error: err.Error()}
-	case req.V >= 1:
-		return s.HandleEnvelope(ctx, req)
-	default:
-		return s.handleV0(ctx, req)
+		return errEnvelope(err.Error())
 	}
+	return s.HandleEnvelope(ctx, req)
 }
 
-// Handle processes one v0 request; exported so tests (and alternative
-// transports) can bypass TCP. Every request is timed and counted in the
-// server's metrics.
-func (s *Server) Handle(req Request) Response {
-	return s.handleV0(s.ls.Context(), req)
-}
-
-func (s *Server) handleV0(ctx context.Context, req Request) Response {
-	start := time.Now()
-	ctx, sp := s.startRequestSpan(ctx, req.Op)
-	resp := s.dispatchV0(ctx, req)
-	s.finishRequestSpan(sp)
-	s.reqMetrics.Observe(string(req.Op), time.Since(start), resp.Error == "")
-	return resp
-}
-
-// HandleEnvelope processes one request and answers in the v1 format.
+// HandleEnvelope processes one request; exported so tests (and
+// alternative transports) can bypass TCP. Every request is timed and
+// counted in the server's metrics, a version-less one included.
 func (s *Server) HandleEnvelope(ctx context.Context, req Request) Envelope {
 	start := time.Now()
 	ctx, sp := s.startRequestSpan(ctx, req.Op)
-	env := s.dispatchV1(ctx, req)
+	env := s.dispatch(ctx, req)
 	s.finishRequestSpan(sp)
 	s.reqMetrics.Observe(string(req.Op), time.Since(start), env.Error == "")
 	return env
@@ -208,75 +187,10 @@ func (s *Server) finishRequestSpan(sp *trace.Span) {
 	s.tracer.Record(sp)
 }
 
-func (s *Server) dispatchV0(ctx context.Context, req Request) Response {
-	switch req.Op {
-	case OpPing:
-		return Response{OK: true}
-	case OpUpload:
-		// v0 predates profiles; a nil Profile leaves any stored profile
-		// untouched, as client.go's plain Upload promises.
-		usp := trace.FromContext(ctx).Child("epoch.upload")
-		err := s.mgr.Upload(ctx, epoch.UploadRequest{User: req.User, Peers: req.Peers})
-		usp.End()
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true}
-	case OpUploadBatch:
-		// The batch shape only exists in v1; v0 clients predate it.
-		return Response{Error: `upload_batch requires "v":1`}
-	case OpFreeze:
-		gen, err := s.rotateAndWait(ctx)
-		if err != nil {
-			return Response{Error: freezeErr(err).Error()}
-		}
-		return Response{OK: true, Epoch: gen.Epoch, EdgeCount: gen.Edges}
-	case OpRotate:
-		ep, err := s.mgr.Rotate(ctx)
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true, Epoch: ep}
-	case OpCloak:
-		res, err := s.mgr.Cloak(ctx, req.User)
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true, Cluster: res.Cluster.Members, Cost: res.Cost, Epoch: res.Epoch}
-	case OpEpoch:
-		st := s.mgr.Status()
-		return Response{OK: true, Epoch: st.Epoch, Frozen: st.Published,
-			Clusters: st.Clusters, EdgeCount: st.Edges}
-	case OpStats:
-		st := s.mgr.Status()
-		snap := s.reqMetrics.Snapshot()
-		resp := Response{
-			OK:        true,
-			Users:     st.Users,
-			Uploads:   st.Uploads,
-			Frozen:    st.Published,
-			Epoch:     st.Epoch,
-			Clusters:  st.Clusters,
-			EdgeCount: st.Edges,
-			Requests:  snap.Total,
-			ReqErrors: snap.Errors,
-			LatP50us:  float64(snap.P50) / float64(time.Microsecond),
-			LatP95us:  float64(snap.P95) / float64(time.Microsecond),
-			LatP99us:  float64(snap.P99) / float64(time.Microsecond),
-		}
-		if len(snap.Ops) > 0 {
-			resp.OpCounts = make(map[string]uint64, len(snap.Ops))
-			for _, op := range snap.Ops {
-				resp.OpCounts[op.Op] = op.Count
-			}
-		}
-		return resp
-	default:
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+func (s *Server) dispatch(ctx context.Context, req Request) Envelope {
+	if err := req.CheckVersion(); err != nil {
+		return errEnvelope(err.Error())
 	}
-}
-
-func (s *Server) dispatchV1(ctx context.Context, req Request) Envelope {
 	ok := Envelope{V: ProtocolVersion, OK: true}
 	switch req.Op {
 	case OpPing:
@@ -377,8 +291,9 @@ func (s *Server) rotateAndWait(ctx context.Context) (*epoch.Generation, error) {
 	return nil, fmt.Errorf("service: epoch %d missing from history", ep)
 }
 
-// freezeErr maps pipeline errors onto the v0 freeze wording ("already
-// frozen") that legacy clients match on.
+// freezeErr maps ErrNoNewUploads onto the freeze wording "already
+// frozen (no new uploads ...)": the coordinator matches on "no new
+// uploads" to tell an idle shard from a failed one.
 func freezeErr(err error) error {
 	if errors.Is(err, epoch.ErrNoNewUploads) {
 		return fmt.Errorf("already frozen (no new uploads since the last epoch)")

@@ -138,7 +138,7 @@ func TestAcceptLoopRecoversAfterErrors(t *testing.T) {
 	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
+	if _, err := client.Write([]byte(`{"v":1,"op":"ping"}` + "\n")); err != nil {
 		t.Fatalf("write to served conn: %v", err)
 	}
 	buf := make([]byte, 256)
@@ -227,12 +227,17 @@ func TestHandleRecordsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Handle(Request{Op: OpPing})
-	srv.Handle(Request{Op: OpUpload, User: 99}) // out of range: an error
-	stats := srv.Handle(Request{Op: OpStats})
-	if !stats.OK {
-		t.Fatalf("stats: %+v", stats)
+	handle := func(req Request) Envelope {
+		req.V = ProtocolVersion
+		return srv.HandleEnvelope(context.Background(), req)
 	}
+	handle(Request{Op: OpPing})
+	handle(Request{Op: OpUpload, User: 99}) // out of range: an error
+	env := handle(Request{Op: OpStats})
+	if !env.OK || env.Stats == nil {
+		t.Fatalf("stats: %+v", env)
+	}
+	stats := env.Stats
 	if stats.Requests != 2 {
 		t.Errorf("Requests = %d, want 2 (ping + failed upload; stats observes itself after)", stats.Requests)
 	}
@@ -251,7 +256,7 @@ func TestHandleRecordsMetrics(t *testing.T) {
 	}
 }
 
-// A malformed line must produce an error response on the same
+// A malformed line must produce an error envelope on the same
 // connection — and the connection must survive to serve the next
 // well-formed request.
 func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
@@ -275,7 +280,7 @@ func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
 	}
 	rd := bufio.NewReader(conn)
 
-	send := func(line string) Response {
+	send := func(line string) Envelope {
 		t.Helper()
 		if _, err := conn.Write([]byte(line + "\n")); err != nil {
 			t.Fatalf("write %q: %v", line, err)
@@ -284,22 +289,22 @@ func TestMalformedLineGetsErrorResponseKeepsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read response to %q: %v", line, err)
 		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
+		var env Envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("bad response %q: %v", raw, err)
 		}
-		return resp
+		return env
 	}
 
-	if resp := send(`this is not json`); resp.OK || resp.Error == "" {
-		t.Fatalf("malformed line: got %+v, want error response", resp)
+	if env := send(`this is not json`); env.V != ProtocolVersion || env.OK || env.Error == "" {
+		t.Fatalf("malformed line: got %+v, want a v1 error envelope", env)
 	}
-	if resp := send(`{"op":"ping"}{"op":"stats"}`); resp.OK || resp.Error == "" {
-		t.Fatalf("two values on one line: got %+v, want error response", resp)
+	if env := send(`{"v":1,"op":"ping"}{"v":1,"op":"stats"}`); env.V != ProtocolVersion || env.OK || env.Error == "" {
+		t.Fatalf("two values on one line: got %+v, want a v1 error envelope", env)
 	}
 	// The connection is still alive and serves real requests.
-	if resp := send(`{"op":"ping"}`); !resp.OK {
-		t.Fatalf("ping after malformed lines: %+v", resp)
+	if env := send(`{"v":1,"op":"ping"}`); !env.OK {
+		t.Fatalf("ping after malformed lines: %+v", env)
 	}
 	// Malformed traffic is visible in the metrics.
 	snap := srv.Metrics().Snapshot()

@@ -10,12 +10,11 @@ import (
 
 	"nonexposure/internal/core"
 	"nonexposure/internal/dataset"
-	"nonexposure/internal/rss"
 	"nonexposure/internal/wpg"
 )
 
-// uploadsFor derives each user's ranked peer list from a built WPG so the
-// server-side reconstruction can be compared against the original graph.
+// uploadsFor derives each user's ranked peer list from a built WPG, as a
+// device population would upload it.
 func uploadsFor(g *wpg.Graph) map[int32][]PeerRank {
 	out := make(map[int32][]PeerRank, g.NumVertices())
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
@@ -28,37 +27,43 @@ func uploadsFor(g *wpg.Graph) map[int32][]PeerRank {
 	return out
 }
 
-func TestBuildGraphReconstructsWPG(t *testing.T) {
-	pts := dataset.GaussianClusters(300, 3, 0.05, 4)
-	g := wpg.Build(pts, wpg.BuildParams{Delta: 0.05, MaxPeers: 6, Model: rss.InverseModel{}})
-	rebuilt, err := buildGraph(g.NumVertices(), uploadsFor(g))
+// TestBuildGraphMutualityAndSelfLoops: the graph the server freezes from
+// uploaded lists keeps only mutual pairs, drops self-references, and
+// weights an edge by the smaller of its two ranks.
+func TestBuildGraphMutualityAndSelfLoops(t *testing.T) {
+	srv, err := New(WithNumUsers(3), WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges %d != %d", rebuilt.NumEdges(), g.NumEdges())
+	addr, err := srv.Listen(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if !reflect.DeepEqual(rebuilt.Neighbors(v), g.Neighbors(v)) {
-			t.Fatalf("adjacency of %d differs after reconstruction", v)
-		}
+	defer srv.Close()
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	defer c.Close()
 
-func TestBuildGraphMutualityAndSelfLoops(t *testing.T) {
 	uploads := map[int32][]PeerRank{
 		0: {{Peer: 1, Rank: 1}, {Peer: 0, Rank: 2}, {Peer: 2, Rank: 3}},
 		1: {{Peer: 0, Rank: 2}},
 		2: {}, // 2 never ranked 0 back: no edge
 	}
-	g, err := buildGraph(3, uploads)
+	for user, peers := range uploads {
+		if err := c.Upload(user, peers); err != nil {
+			t.Fatalf("upload %d: %v", user, err)
+		}
+	}
+	edges, err := c.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want 1 (only the mutual pair)", g.NumEdges())
+	if edges != 1 {
+		t.Fatalf("edges = %d, want 1 (only the mutual pair)", edges)
 	}
-	w, ok := g.Weight(0, 1)
+	w, ok := srv.Manager().Current().Graph.Weight(0, 1)
 	if !ok || w != 1 {
 		t.Errorf("weight(0,1) = %d,%v want 1 (min of 1 and 2)", w, ok)
 	}
@@ -89,7 +94,7 @@ func TestServerLifecycleOverTCP(t *testing.T) {
 	}
 
 	// Cloak before freeze must fail.
-	if _, _, err := c.Cloak(0); err == nil || !strings.Contains(err.Error(), "not frozen") {
+	if _, err := c.CloakV1(0); err == nil || !strings.Contains(err.Error(), "not frozen") {
 		t.Fatalf("cloak before freeze: %v", err)
 	}
 
@@ -107,22 +112,23 @@ func TestServerLifecycleOverTCP(t *testing.T) {
 	}
 
 	// First cloak costs the whole population; a member's repeat is free.
-	cluster, cost, err := c.Cloak(5)
+	first, err := c.CloakV1(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != g.NumVertices() {
-		t.Errorf("first cloak cost = %d, want %d", cost, g.NumVertices())
+	cluster := first.Cluster
+	if first.Cost != g.NumVertices() {
+		t.Errorf("first cloak cost = %d, want %d", first.Cost, g.NumVertices())
 	}
 	if len(cluster) < 4 {
 		t.Errorf("cluster = %v, want >= k members", cluster)
 	}
-	again, cost2, err := c.Cloak(cluster[0])
+	again, err := c.CloakV1(cluster[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost2 != 0 || !reflect.DeepEqual(again, cluster) {
-		t.Errorf("member repeat: cost=%d cluster=%v", cost2, again)
+	if again.Cost != 0 || !reflect.DeepEqual(again.Cluster, cluster) {
+		t.Errorf("member repeat: cost=%d cluster=%v", again.Cost, again.Cluster)
 	}
 
 	// The served clusters must match an in-process anonymizer run.
@@ -138,7 +144,7 @@ func TestServerLifecycleOverTCP(t *testing.T) {
 		t.Errorf("served cluster %v != reference %v", cluster, want.Members)
 	}
 
-	stats, err := c.Stats()
+	stats, err := c.StatsV1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +217,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	results := make(chan error, 20)
 	for i := 0; i < 20; i++ {
 		go func(u int32) {
-			_, _, err := c2Cloak(addr.String(), u)
+			_, err := c2Cloak(addr.String(), u)
 			results <- err
 		}(int32(i * 7 % g.NumVertices()))
 	}
@@ -222,13 +228,13 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
-func c2Cloak(addr string, user int32) ([]int32, int, error) {
+func c2Cloak(addr string, user int32) (*CloakPayload, error) {
 	c, err := Dial(addr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer c.Close()
-	return c.Cloak(user)
+	return c.CloakV1(user)
 }
 
 func TestServerValidation(t *testing.T) {
@@ -242,22 +248,26 @@ func TestServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := srv.Handle(Request{Op: "bogus"}); resp.OK || resp.Error == "" {
-		t.Errorf("unknown op: %+v", resp)
+	handle := func(req Request) Envelope {
+		req.V = ProtocolVersion
+		return srv.HandleEnvelope(context.Background(), req)
 	}
-	if resp := srv.Handle(Request{Op: OpUpload, User: 99}); resp.OK {
+	if env := handle(Request{Op: "bogus"}); env.OK || env.Error == "" {
+		t.Errorf("unknown op: %+v", env)
+	}
+	if env := handle(Request{Op: OpUpload, User: 99}); env.OK {
 		t.Error("out-of-range user accepted")
 	}
-	if resp := srv.Handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 99, Rank: 1}}}); resp.OK {
+	if env := handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 99, Rank: 1}}}); env.OK {
 		t.Error("out-of-range peer accepted")
 	}
-	if resp := srv.Handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 2, Rank: 0}}}); resp.OK {
+	if env := handle(Request{Op: OpUpload, User: 1, Peers: []PeerRank{{Peer: 2, Rank: 0}}}); env.OK {
 		t.Error("rank 0 accepted")
 	}
-	if resp := srv.Handle(Request{Op: OpFreeze}); !resp.OK {
-		t.Errorf("freeze: %+v", resp)
+	if env := handle(Request{Op: OpFreeze}); !env.OK {
+		t.Errorf("freeze: %+v", env)
 	}
-	if resp := srv.Handle(Request{Op: OpFreeze}); resp.OK {
+	if env := handle(Request{Op: OpFreeze}); env.OK {
 		t.Error("double freeze accepted")
 	}
 }

@@ -63,6 +63,13 @@ echo "==> examples build + vet"
 go vet ./examples/...
 go build ./examples/...
 
+# The wire benchmark is its own module (it replaces nonexposure with the
+# parent directory), so ./... above does not reach it. Vet and build it
+# here so that renaming or removing an exported name it calls fails the
+# gate instead of the next benchmark run.
+echo "==> wirebench module vet + build"
+(cd wirebench && go vet ./... && go build -o /dev/null .)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
